@@ -1659,10 +1659,19 @@ impl LifecycleSim {
                 Ev::TrainResume { tenant } => {
                     let tenant = tenant as usize;
                     let st = &mut self.tenants[tenant];
-                    if st.train == TrainState::Stalled && st.exec.is_some() {
-                        st.train = TrainState::Ready;
-                        st.queued_since = t;
-                        self.train_ready.push_back(tenant as u32);
+                    if st.train == TrainState::Stalled {
+                        // A run preempted during its last epoch (the
+                        // epoch cap) has nothing left to step: the
+                        // rollback is billed, so it finishes here.
+                        match st.exec.as_ref().map(TrainingExecution::is_done) {
+                            Some(true) => self.finish_training(tenant, t, &mut q),
+                            Some(false) => {
+                                st.train = TrainState::Ready;
+                                st.queued_since = t;
+                                self.train_ready.push_back(tenant as u32);
+                            }
+                            None => {}
+                        }
                     }
                     self.drain_all(t, &mut q);
                 }
@@ -2344,6 +2353,27 @@ mod tests {
             transfers >= redeploys,
             "every off-pool publish crosses the link: {transfers} vs {redeploys}"
         );
+    }
+
+    /// An hour of 8-tenant serve-first traffic preempts some run during
+    /// its capped final epoch. Its resume must finish the run, not queue
+    /// a finished execution for another epoch.
+    #[test]
+    fn run_preempted_on_its_last_epoch_finishes_on_resume() {
+        let spec = LifecycleSpec::new(8, 3600.0, 42)
+            .with_quota(32)
+            .with_job_cap(8)
+            .with_rps(4.0)
+            .with_drift_mean_s(150.0);
+        let (r, _) = run_with(spec, "serve-first");
+        assert!(r.preemptions() > 0, "serve-first must preempt: {r:?}");
+        for t in &r.tenants {
+            assert_partition(t);
+            assert!(
+                t.jobs_completed + t.jobs_failed <= t.jobs_started,
+                "a run ends at most once: {t:?}"
+            );
+        }
     }
 
     #[test]

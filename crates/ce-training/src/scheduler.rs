@@ -85,10 +85,11 @@ pub enum Decision {
 
 /// Work counters for the Fig. 21b/21c overhead analysis.
 ///
-/// A read-only snapshot: the live counts are `ce-obs` counters owned by
-/// the scheduler (`scheduler.evaluations` / `scheduler.adjustments` /
-/// `scheduler.triggers`), so a shared registry sees them without any
-/// side-channel bookkeeping.
+/// The scheduler's own tally: the modeled scheduling overhead is charged
+/// from it, so it never depends on what else writes to a shared registry.
+/// The same counts are mirrored into write-only `ce-obs` counters
+/// (`scheduler.evaluations` / `scheduler.adjustments` /
+/// `scheduler.triggers`) for export.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerStats {
     /// Allocation candidates evaluated across all selections.
@@ -129,28 +130,28 @@ pub struct AdaptiveScheduler {
     /// `(remaining_epochs, r_eff)`. The selection is a pure function of
     /// that pair given the candidate set and objective (both fixed at
     /// construction), so hits are bit-identical to recomputation. Hits
-    /// still charge `scheduler.evaluations` — the counter models decision
-    /// *work requested*, and the derived scheduling overhead must not
-    /// change with the cache.
+    /// still charge evaluations — the tally models decision *work
+    /// requested*, and the derived scheduling overhead must not change
+    /// with the cache.
     select_cache: HashMap<(u64, u64), Option<AllocPoint>>,
+    /// This scheduler's own work tally; [`Self::stats`] reads it.
+    stats: SchedulerStats,
     /// Observability sink; private by default, shareable via
     /// [`Self::bind_registry`].
     obs: Registry,
+    /// Write-only mirrors of `stats` in `obs`.
     evaluations: Counter,
     adjustments: Counter,
     triggers: Counter,
 }
 
 impl Clone for AdaptiveScheduler {
-    /// Clones into an *independent* scheduler: the work counters are
-    /// copied by value into a fresh registry, so the clone's stats do not
-    /// feed back into the original's sink.
+    /// Clones into an *independent* scheduler: the work tally is copied
+    /// by value and mirrored into a fresh registry, so the clone's work
+    /// does not feed back into the original's sink.
     fn clone(&self) -> Self {
         let obs = Registry::new();
-        let (evaluations, adjustments, triggers) = Self::handles(&obs);
-        evaluations.add(self.evaluations.get());
-        adjustments.add(self.adjustments.get());
-        triggers.add(self.triggers.get());
+        let (evaluations, adjustments, triggers) = Self::handles(&obs, self.stats);
         AdaptiveScheduler {
             candidates: self.candidates.clone(),
             objective: self.objective,
@@ -165,6 +166,7 @@ impl Clone for AdaptiveScheduler {
             epochs_done: self.epochs_done,
             current: self.current,
             select_cache: self.select_cache.clone(),
+            stats: self.stats,
             obs,
             evaluations,
             adjustments,
@@ -191,7 +193,7 @@ impl AdaptiveScheduler {
             profile.points().to_vec()
         };
         let obs = Registry::new();
-        let (evaluations, adjustments, triggers) = Self::handles(&obs);
+        let (evaluations, adjustments, triggers) = Self::handles(&obs, SchedulerStats::default());
         AdaptiveScheduler {
             candidates,
             objective,
@@ -206,6 +208,7 @@ impl AdaptiveScheduler {
             epochs_done: 0,
             current: None,
             select_cache: HashMap::new(),
+            stats: SchedulerStats::default(),
             obs,
             evaluations,
             adjustments,
@@ -213,29 +216,25 @@ impl AdaptiveScheduler {
         }
     }
 
-    fn handles(registry: &Registry) -> (Counter, Counter, Counter) {
-        (
-            registry.counter("scheduler.evaluations"),
-            registry.counter("scheduler.adjustments"),
-            registry.counter("scheduler.triggers"),
-        )
+    /// The work counters in `registry`, each credited with `carried`.
+    fn handles(registry: &Registry, carried: SchedulerStats) -> (Counter, Counter, Counter) {
+        let evaluations = registry.counter("scheduler.evaluations");
+        let adjustments = registry.counter("scheduler.adjustments");
+        let triggers = registry.counter("scheduler.triggers");
+        evaluations.add(carried.evaluations);
+        adjustments.add(u64::from(carried.adjustments));
+        triggers.add(u64::from(carried.triggers));
+        (evaluations, adjustments, triggers)
     }
 
     /// Re-homes the work counters into `registry` (e.g. a job-wide or the
     /// process-global sink), carrying the counts accumulated so far.
     /// Counter names are shared, so schedulers bound to the same registry
-    /// aggregate; [`Self::stats`] then reports the aggregate.
+    /// aggregate there; [`Self::stats`] still reports this scheduler's
+    /// own work.
     pub fn bind_registry(&mut self, registry: &Registry) {
-        let carried = (
-            self.evaluations.get(),
-            self.adjustments.get(),
-            self.triggers.get(),
-        );
         self.obs = registry.clone();
-        let (evaluations, adjustments, triggers) = Self::handles(registry);
-        evaluations.add(carried.0);
-        adjustments.add(carried.1);
-        triggers.add(carried.2);
+        let (evaluations, adjustments, triggers) = Self::handles(registry, self.stats);
         self.evaluations = evaluations;
         self.adjustments = adjustments;
         self.triggers = triggers;
@@ -251,13 +250,9 @@ impl AdaptiveScheduler {
         self.target_loss
     }
 
-    /// Snapshot of the work counters.
+    /// Snapshot of this scheduler's work tally.
     pub fn stats(&self) -> SchedulerStats {
-        SchedulerStats {
-            evaluations: self.evaluations.get(),
-            adjustments: u32::try_from(self.adjustments.get()).unwrap_or(u32::MAX),
-            triggers: u32::try_from(self.triggers.get()).unwrap_or(u32::MAX),
-        }
+        self.stats
     }
 
     /// Latest accepted total-epoch prediction.
@@ -334,6 +329,7 @@ impl AdaptiveScheduler {
             return Decision::Keep;
         }
         self.accepted_prediction = predicted_total;
+        self.stats.triggers = self.stats.triggers.saturating_add(1);
         self.triggers.inc();
         let remaining = (predicted_total - f64::from(self.epochs_done)).max(1.0);
         let Some(point) = self.select_best(remaining) else {
@@ -344,6 +340,7 @@ impl AdaptiveScheduler {
             return Decision::Keep;
         }
         self.current = Some(alloc);
+        self.stats.adjustments = self.stats.adjustments.saturating_add(1);
         self.adjustments.inc();
         Decision::Switch { to: alloc }
     }
@@ -382,7 +379,9 @@ impl AdaptiveScheduler {
         // Charged before the memo lookup: the modeled decision cost is
         // per candidate *requested*, so `sched_overhead_s` downstream is
         // byte-identical with and without the cache.
-        self.evaluations.add(self.candidates.len() as u64);
+        let requested = self.candidates.len() as u64;
+        self.stats.evaluations += requested;
+        self.evaluations.add(requested);
         // Scalarized selection: minimize the predicted remaining value of
         // the *objective* metric, multiplied by a steep soft penalty on
         // the projected overrun of the *constrained* metric (measured

@@ -83,9 +83,10 @@ impl Default for PlannerConfig {
 
 /// Work counters, used by the Fig. 21a overhead comparison.
 ///
-/// A per-call snapshot; the live counts are `ce-obs` counters
-/// (`planner.evaluations` / `planner.iterations`) in the planner's
-/// registry, which accumulate across calls when the registry is shared.
+/// One `plan` call's own tally. The same counts are mirrored into
+/// write-only `ce-obs` counters (`planner.evaluations` /
+/// `planner.iterations`) in the planner's registry, which accumulate
+/// across calls and planners when the registry is shared.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PlannerStats {
     /// Candidate plans whose objectives were evaluated.
@@ -94,6 +95,24 @@ pub struct PlannerStats {
     pub iterations: u32,
     /// Size of the per-stage candidate set searched.
     pub candidate_count: usize,
+}
+
+/// One `plan` call's count of some work, mirrored into a write-only
+/// counter that other planners may share.
+struct Tally {
+    count: u64,
+    sink: Counter,
+}
+
+impl Tally {
+    fn new(sink: Counter) -> Self {
+        Tally { count: 0, sink }
+    }
+
+    fn inc(&mut self) {
+        self.count += 1;
+        self.sink.inc();
+    }
 }
 
 /// Planning failure.
@@ -180,11 +199,8 @@ impl<'p> GreedyPlanner<'p> {
         if candidates.is_empty() {
             return Err(PlanError::EmptyProfile);
         }
-        let evals = self.obs.counter("planner.evaluations");
-        let iters = self.obs.counter("planner.iterations");
-        // The registry may be shared across plan() calls; this call's
-        // stats are the deltas from here.
-        let (evals_before, iters_before) = (evals.get(), iters.get());
+        let mut evals = Tally::new(self.obs.counter("planner.evaluations"));
+        let mut iters = Tally::new(self.obs.counter("planner.iterations"));
         let candidate_count = candidates.len();
         let d = self.sha.num_stages();
 
@@ -232,7 +248,7 @@ impl<'p> GreedyPlanner<'p> {
         let mut best = static_assign.clone();
         let mut best_value = self.value(&self.materialize(&best, &candidates), objective);
         while let Some((recycled_stage, recycled)) =
-            self.best_recycle(&best, &candidates, objective, &evals)
+            self.best_recycle(&best, &candidates, objective, &mut evals)
         {
             // Reallocate the freed resource to *later* stages only (the
             // paper moves resources from early stages to later ones;
@@ -249,7 +265,7 @@ impl<'p> GreedyPlanner<'p> {
                     objective,
                     None,
                     Some(recycled_stage + 1),
-                    &evals,
+                    &mut evals,
                 ) {
                     Some(next) => {
                         let next_plan = self.materialize(&next, &candidates);
@@ -276,9 +292,14 @@ impl<'p> GreedyPlanner<'p> {
         // --- Phase 2 (Lines 15–25): spend the remaining constraint slack
         // on the best upgrades, excluding ones that violate it.
         let mut excluded: HashSet<(usize, usize)> = HashSet::new();
-        while let Some(next) =
-            self.best_realloc(&best, &candidates, objective, Some(&excluded), None, &evals)
-        {
+        while let Some(next) = self.best_realloc(
+            &best,
+            &candidates,
+            objective,
+            Some(&excluded),
+            None,
+            &mut evals,
+        ) {
             let next_plan = self.materialize(&next, &candidates);
             let next_value = self.value(&next_plan, objective);
             let reduction = best_value - next_value;
@@ -303,8 +324,8 @@ impl<'p> GreedyPlanner<'p> {
             "planner must never be worse than static"
         );
         let stats = PlannerStats {
-            evaluations: evals.get() - evals_before,
-            iterations: u32::try_from(iters.get() - iters_before).unwrap_or(u32::MAX),
+            evaluations: evals.count,
+            iterations: u32::try_from(iters.count).unwrap_or(u32::MAX),
             candidate_count,
         };
         Ok((final_plan, static_plan, stats))
@@ -351,7 +372,7 @@ impl<'p> GreedyPlanner<'p> {
         assign: &[usize],
         candidates: &[AllocPoint],
         objective: Objective,
-        evals: &Counter,
+        evals: &mut Tally,
     ) -> Option<(usize, Vec<usize>)> {
         let base = self.materialize(assign, candidates);
         let base_value = self.value(&base, objective);
@@ -393,7 +414,7 @@ impl<'p> GreedyPlanner<'p> {
         objective: Objective,
         excluded: Option<&HashSet<(usize, usize)>>,
         min_stage: Option<usize>,
-        evals: &Counter,
+        evals: &mut Tally,
     ) -> Option<Vec<usize>> {
         let base = self.materialize(assign, candidates);
         let base_value = self.value(&base, objective);

@@ -1379,6 +1379,58 @@ mod tests {
         mid.cost_usd() * epochs * 2.0
     }
 
+    /// Jobs sharing one registry (the default is the process-global one)
+    /// charge only their own planner and scheduler work: two training and
+    /// two tuning jobs run concurrently, released together by a barrier,
+    /// and each report equals the same job run alone. A few rounds make
+    /// overlapping counter updates near-certain.
+    #[test]
+    fn concurrent_jobs_on_a_shared_registry_match_isolated_runs() {
+        let shared = Registry::new();
+        let mut tuning = tuning_job(Constraint::Budget(1.0));
+        tuning.constraint = Constraint::Budget(roomy_budget(&tuning));
+        let mut training = training_job(Workload::mobilenet_cifar10(), Constraint::Budget(1.0));
+        training.constraint = Constraint::Budget(training_budget(&training));
+        let tunings = [3, 4].map(|seed| tuning.clone().with_seed(seed));
+        let trainings = [5, 6].map(|seed| training.clone().with_seed(seed));
+        let isolated_tuned = tunings.clone().map(|job| {
+            job.with_obs(&Registry::new())
+                .run(Method::CeScaling)
+                .unwrap()
+        });
+        let isolated_trained = trainings.clone().map(|job| {
+            job.with_obs(&Registry::new())
+                .run(Method::CeScaling)
+                .unwrap()
+        });
+        let tunings = tunings.map(|job| job.with_obs(&shared));
+        let trainings = trainings.map(|job| job.with_obs(&shared));
+        for _round in 0..4 {
+            let barrier = std::sync::Barrier::new(tunings.len() + trainings.len());
+            std::thread::scope(|scope| {
+                let barrier = &barrier;
+                let tuned = tunings.each_ref().map(|job| {
+                    scope.spawn(move || {
+                        barrier.wait();
+                        job.run(Method::CeScaling).unwrap()
+                    })
+                });
+                let trained = trainings.each_ref().map(|job| {
+                    scope.spawn(move || {
+                        barrier.wait();
+                        job.run(Method::CeScaling).unwrap()
+                    })
+                });
+                for (handle, isolated) in tuned.into_iter().zip(&isolated_tuned) {
+                    assert_eq!(handle.join().unwrap(), *isolated);
+                }
+                for (handle, isolated) in trained.into_iter().zip(&isolated_trained) {
+                    assert_eq!(handle.join().unwrap(), *isolated);
+                }
+            });
+        }
+    }
+
     #[test]
     fn ce_training_converges_within_budget() {
         let mut job = training_job(Workload::mobilenet_cifar10(), Constraint::Budget(1.0));

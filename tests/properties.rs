@@ -988,3 +988,76 @@ fn zoo_schedules_roundtrip_the_arrival_log_for_every_preset() {
         assert_eq!(replayed, arrivals, "{preset} log round trip must be exact");
     }
 }
+
+/// The streaming JSON writer agrees with the `Value` tree: for every
+/// report type the CLIs and exporters serialize, built from random seeds
+/// and configurations, `to_string` equals the text of `to_value`.
+#[test]
+fn streamed_report_json_matches_the_value_tree() {
+    use ce_scaling::chaos::FaultSchedule;
+    use ce_scaling::cluster::{policy_by_name, ClusterSim, ClusterSpec, FleetSpec};
+    use ce_scaling::lifecycle::{priority_by_name, priority_names, LifecycleSim, LifecycleSpec};
+    use ce_scaling::serve::{autoscaler_by_name, ArrivalModel, ServeSim, ServeSpec};
+    use ce_scaling::workflow::{Constraint, Method, TrainingJob, TuningJob};
+
+    macro_rules! same_text {
+        ($what:literal, $report:expr) => {
+            assert_eq!(
+                serde_json::to_string($report).expect("serializes"),
+                serde_json::to_value($report).to_string(),
+                "{}: streamed JSON differs from the value tree",
+                $what
+            )
+        };
+    }
+
+    prop("streamed_report_json", 3, |rng| {
+        let seed = rng.next_u64();
+        let tuning = TuningJob::new(
+            Workload::lr_higgs(),
+            ShaSpec::new(64, 2, 2),
+            Constraint::Budget(rng.uniform_range(0.5, 50.0)),
+        )
+        .with_seed(seed)
+        .with_trace()
+        .with_obs(&ce_scaling::obs::Registry::new());
+        let method = Method::TUNING[rng.gen_index(Method::TUNING.len())];
+        same_text!("TuningReport", &tuning.run(method).expect("tuning runs"));
+
+        let training = TrainingJob::new(
+            Workload::lr_higgs(),
+            Constraint::Budget(rng.uniform_range(1.0, 100.0)),
+        )
+        .with_seed(seed)
+        .with_trace()
+        .with_obs(&ce_scaling::obs::Registry::new());
+        let method = Method::TRAINING[rng.gen_index(Method::TRAINING.len())];
+        same_text!(
+            "TrainingReport",
+            &training.run(method).expect("training runs")
+        );
+
+        let fleet = ClusterSpec::new(FleetSpec::poisson(6, 20.0, seed), 60).with_job_cap(6);
+        let r = ClusterSim::new(fleet, policy_by_name("edf").expect("known policy")).run();
+        same_text!("FleetReport", &r);
+
+        let serve = ServeSpec::new(ArrivalModel::Poisson { rps: 20.0 }, 120.0, seed);
+        let r = ServeSim::new(
+            serve,
+            autoscaler_by_name("target").expect("known autoscaler"),
+            ce_scaling::faas::keep_alive_by_name("adaptive").expect("known keep-alive"),
+        )
+        .run();
+        same_text!("ServeReport", &r);
+
+        let priority = priority_names()[rng.gen_index(priority_names().len())];
+        let lifecycle = LifecycleSpec::new(2, 90.0, seed)
+            .with_quota(12)
+            .with_job_cap(4)
+            .with_rps(6.0)
+            .with_drift_mean_s(40.0)
+            .with_chaos(FaultSchedule::parse("crash:0.1@0..inf").expect("spec parses"));
+        let r = LifecycleSim::new(lifecycle, priority_by_name(priority).expect("known")).run();
+        same_text!("LifecycleReport", &r);
+    });
+}
