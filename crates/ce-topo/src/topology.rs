@@ -14,6 +14,8 @@
 //! results to one that never heard of topologies (`x * 1.0 == x` and
 //! `x + 0.0 == x` for the finite non-negative values involved).
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 
 /// One serverless region (an "edge site" or "cloud region").
@@ -210,12 +212,25 @@ fn parse_f64(kind: &str, key: &str, value: &str) -> Result<f64, String> {
     Ok(v)
 }
 
-fn parse_pool(body: &str) -> Result<NodePool, String> {
-    let mut parts = body.split(',');
-    let name = parts.next().unwrap_or("").trim();
+/// Checks a pool name from a spec: non-empty ASCII letters, digits and
+/// `_`, so it can never be confused with the grammar's `;`, `,`, `=`
+/// and the `-` that joins link endpoints.
+fn check_pool_name(name: &str) -> Result<(), String> {
     if name.is_empty() {
         return Err("pool entry needs a name: pool:<name>[,k=v..]".to_string());
     }
+    if !name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_') {
+        return Err(format!(
+            "invalid pool name {name:?}: use only letters, digits and '_' ([A-Za-z0-9_])"
+        ));
+    }
+    Ok(())
+}
+
+fn parse_pool(body: &str) -> Result<NodePool, String> {
+    let mut parts = body.split(',');
+    let name = parts.next().unwrap_or("").trim();
+    check_pool_name(name)?;
     let mut pool = NodePool::neutral(name);
     for kv in parts {
         let (k, v) = kv
@@ -252,11 +267,14 @@ fn parse_link(body: &str) -> Result<NetworkLink, String> {
     let (a, b) = ends
         .split_once('-')
         .ok_or_else(|| format!("malformed link endpoints {ends:?}: expected <a>-<b>"))?;
+    let (a, b) = (a.trim(), b.trim());
     if a.is_empty() || b.is_empty() || a == b {
         return Err(format!(
             "malformed link endpoints {ends:?}: need two distinct pools"
         ));
     }
+    check_pool_name(a)?;
+    check_pool_name(b)?;
     let mut link = NetworkLink {
         a: a.to_string(),
         b: b.to_string(),
@@ -286,6 +304,8 @@ fn parse_link(body: &str) -> Result<NetworkLink, String> {
 /// Parses a topology spec: a preset name (`single`, `edge-cloud`) or a
 /// semicolon-joined custom grammar of `pool:` and `link:` entries, e.g.
 /// `pool:edge,quota=4,rtt=5,price=0.6;pool:cloud,rtt=40;link:edge-cloud,bw=200`.
+/// Pool names are letters, digits and `_`. [`Topology`]'s `Display`
+/// writes the spec back.
 ///
 /// # Errors
 /// A human-readable message naming the offending entry or attribute.
@@ -329,6 +349,42 @@ pub fn parse_topology(spec: &str) -> Result<Topology, String> {
         }
     }
     Ok(topo)
+}
+
+/// The spec [`parse_topology`] reads back to an equal topology: the
+/// preset's name for an unmodified preset, otherwise the custom grammar
+/// with every attribute spelled out (floats in shortest round-trip
+/// form). Topologies built in code with names the grammar rejects (see
+/// `check_pool_name`) render but do not parse.
+impl fmt::Display for Topology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for preset in [Topology::single(), Topology::edge_cloud()] {
+            if *self == preset {
+                return f.write_str(&preset.name);
+            }
+        }
+        let mut sep = "";
+        for p in &self.pools {
+            write!(f, "{sep}pool:{}", p.name)?;
+            if let Some(q) = p.quota {
+                write!(f, ",quota={q}")?;
+            }
+            write!(
+                f,
+                ",rtt={},price={},compute={},cold={}",
+                p.rtt_ms, p.price_factor, p.compute_factor, p.cold_factor
+            )?;
+            sep = ";";
+        }
+        for l in &self.links {
+            write!(
+                f,
+                ";link:{}-{},rtt={},bw={},egress={}",
+                l.a, l.b, l.rtt_ms, l.bandwidth_mbps, l.egress_usd_per_gb
+            )?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -418,5 +474,46 @@ mod tests {
         assert!(err("pool:a;link:a-ghost").contains("unknown pool"));
         assert!(err("link:a-b").contains("at least one pool"));
         assert!(err(";").contains("at least one pool"));
+    }
+
+    #[test]
+    fn pool_names_outside_the_grammar_are_rejected_where_declared() {
+        let err = |s: &str| parse_topology(s).unwrap_err();
+        // A hyphen would split the link endpoints: reported at the pool,
+        // not as a dangling link to pool "us".
+        let e = err("pool:us-east,quota=4;pool:cloud;link:us-east-cloud");
+        assert!(e.contains("invalid pool name \"us-east\""), "{e}");
+        assert!(e.contains("[A-Za-z0-9_]"), "{e}");
+        assert!(err("pool:a=b").contains("invalid pool name"));
+        assert!(err("pool:a:b").contains("invalid pool name"));
+        assert!(err("pool:a;pool:b;link:a-b-c").contains("invalid pool name \"b-c\""));
+        let t =
+            parse_topology("pool:us_east_1,quota=4;pool:Cloud2;link: us_east_1 - Cloud2").unwrap();
+        assert_eq!(t.link_between(0, 1).map(|l| l.b.as_str()), Some("Cloud2"));
+    }
+
+    #[test]
+    fn display_round_trips_through_parse() {
+        for spec in [
+            "single",
+            "edge-cloud",
+            "pool:default",
+            "pool:edge,quota=8,rtt=5,price=0.6,cold=0.5;pool:cloud,rtt=40;link:edge-cloud",
+            "pool:a,rtt=0.1,price=1e-9,compute=123456789.125;pool:b;pool:c;\
+             link:a-c,rtt=1e300,bw=0.000001,egress=0;link:b-a",
+        ] {
+            let t = parse_topology(spec).unwrap();
+            let text = t.to_string();
+            assert_eq!(parse_topology(&text), Ok(t), "{spec} -> {text}");
+        }
+        assert_eq!(Topology::edge_cloud().to_string(), "edge-cloud");
+        assert_eq!(
+            parse_topology("pool:x,quota=2;pool:y;link:x-y,bw=250")
+                .unwrap()
+                .to_string(),
+            "pool:x,quota=2,rtt=0,price=1,compute=1,cold=1;\
+             pool:y,rtt=0,price=1,compute=1,cold=1;\
+             link:x-y,rtt=40,bw=250,egress=0.09"
+        );
     }
 }

@@ -249,3 +249,23 @@ fn invalid_qlearn_hyperparameters_are_usage_errors() {
         "malformed qlearn spec",
     );
 }
+
+#[test]
+fn pool_names_outside_the_topology_grammar_are_usage_errors() {
+    // A hyphenated pool could be declared but never linked (the link's
+    // `-` split it), and the error blamed a pool "us" nobody declared.
+    assert_graceful(
+        &[
+            "serve",
+            "--topology",
+            "pool:us-east,quota=4;pool:cloud;link:us-east-cloud",
+        ],
+        2,
+        "invalid pool name \"us-east\": use only letters, digits and '_' ([A-Za-z0-9_])",
+    );
+    assert_graceful(
+        &["serve", "--topology", "pool:a=b"],
+        2,
+        "invalid pool name \"a=b\"",
+    );
+}

@@ -1061,3 +1061,184 @@ fn streamed_report_json_matches_the_value_tree() {
         same_text!("LifecycleReport", &r);
     });
 }
+
+/// A finite, non-negative float (positive when `positive`), spelled in
+/// one of the forms `f64::from_str` reads.
+fn spec_float(rng: &mut SimRng, positive: bool) -> String {
+    let v = loop {
+        let v = match rng.gen_index(4) {
+            0 => 0.0,
+            1 => rng.uniform_range(0.0, 100.0),
+            2 => f64::from_bits(rng.next_u64() >> 1),
+            _ => 10f64.powi(rng.gen_index(600) as i32 - 300),
+        };
+        if v.is_finite() && (v > 0.0 || !positive) {
+            break v;
+        }
+    };
+    match rng.gen_index(3) {
+        0 => format!("{v}"),
+        1 => format!("{v:?}"),
+        _ => format!("{v:e}"),
+    }
+}
+
+/// A random spec in the custom topology grammar: 1–4 uniquely named
+/// pools and up to 3 links, each with a random subset of attributes.
+fn random_topology_spec(rng: &mut SimRng) -> String {
+    const NAME: &[u8] = b"abcXYZ019_";
+    let pools = 1 + rng.gen_index(4);
+    let names: Vec<String> = (0..pools)
+        .map(|i| {
+            let prefix: String = (0..rng.gen_index(6))
+                .map(|_| char::from(NAME[rng.gen_index(NAME.len())]))
+                .collect();
+            format!("{prefix}{i}")
+        })
+        .collect();
+    let mut entries = Vec::new();
+    for name in &names {
+        let mut entry = format!("pool:{name}");
+        for attr in ["quota", "rtt", "price", "compute", "cold"] {
+            if rng.bernoulli(0.5) {
+                let value = match attr {
+                    "quota" => (1 + rng.gen_index(64)).to_string(),
+                    "rtt" => spec_float(rng, false),
+                    _ => spec_float(rng, true),
+                };
+                entry.push_str(&format!(",{attr}={value}"));
+            }
+        }
+        entries.push(entry);
+    }
+    if pools > 1 {
+        for _ in 0..rng.gen_index(4) {
+            let a = rng.gen_index(pools);
+            let b = (a + 1 + rng.gen_index(pools - 1)) % pools;
+            let mut entry = format!("link:{}-{}", names[a], names[b]);
+            for attr in ["rtt", "bw", "egress"] {
+                if rng.bernoulli(0.5) {
+                    let value = spec_float(rng, attr == "bw");
+                    entry.push_str(&format!(",{attr}={value}"));
+                }
+            }
+            entries.push(entry);
+        }
+    }
+    rng.shuffle(&mut entries);
+    entries.join(";")
+}
+
+/// Asserts what every topology `parse_topology` accepts satisfies, and
+/// that `Display` writes it back to a spec parsing to an equal one.
+fn assert_sound_topology(spec: &str, topo: &ce_scaling::topo::Topology) {
+    use ce_scaling::topo::parse_topology;
+    assert!(!topo.pools.is_empty(), "`{spec}`: no pools");
+    for (i, p) in topo.pools.iter().enumerate() {
+        assert_eq!(
+            topo.pool_index(&p.name),
+            Some(i),
+            "`{spec}`: duplicate pool"
+        );
+        assert!(p.quota != Some(0), "`{spec}`: zero quota");
+        for f in [p.price_factor, p.compute_factor, p.cold_factor] {
+            assert!(f.is_finite() && f > 0.0, "`{spec}`: factor {f}");
+        }
+        assert!(p.rtt_ms.is_finite() && p.rtt_ms >= 0.0, "`{spec}`: rtt");
+    }
+    for l in &topo.links {
+        assert!(topo.pool_index(&l.a).is_some() && topo.pool_index(&l.b).is_some());
+        assert!(l.bandwidth_mbps.is_finite() && l.bandwidth_mbps > 0.0);
+        assert!(l.rtt_ms.is_finite() && l.rtt_ms >= 0.0);
+        assert!(l.egress_usd_per_gb.is_finite() && l.egress_usd_per_gb >= 0.0);
+    }
+    let text = topo.to_string();
+    assert_eq!(
+        parse_topology(&text).as_ref(),
+        Ok(topo),
+        "`{spec}` rendered as `{text}`"
+    );
+}
+
+/// Every spec in the custom topology grammar parses, and parse ∘ display
+/// is the identity on it.
+#[test]
+fn topology_display_round_trips_through_parse() {
+    prop("topology_round_trip", 500, |rng| {
+        let spec = random_topology_spec(rng);
+        let topo = ce_scaling::topo::parse_topology(&spec)
+            .unwrap_or_else(|e| panic!("`{spec}` rejected: {e}"));
+        assert_sound_topology(&spec, &topo);
+    });
+}
+
+/// Random input never panics the topology parser: each gives a sound
+/// `Topology` or an `Err`. Half the cases are soups of grammar tokens
+/// and random bytes, half are valid specs with a few bytes deleted,
+/// replaced or inserted (so that both outcomes are common).
+#[test]
+fn topology_parser_survives_random_input() {
+    const TOKENS: &[&str] = &[
+        "pool:",
+        "link:",
+        ";",
+        ",",
+        "=",
+        "-",
+        ":",
+        " ",
+        "quota",
+        "rtt",
+        "price",
+        "compute",
+        "cold",
+        "bw",
+        "egress",
+        "a",
+        "b",
+        "us-east",
+        "_",
+        "0",
+        "1",
+        "4.5",
+        "1e9",
+        "-1",
+        "inf",
+        "NaN",
+        "single",
+        "edge-cloud",
+        "é",
+        "\u{0}",
+    ];
+    prop("topology_fuzz", 3000, |rng| {
+        let mut bytes = Vec::new();
+        if rng.bernoulli(0.5) {
+            for _ in 0..rng.gen_index(24) {
+                if rng.bernoulli(0.2) {
+                    bytes.push(rng.next_u64() as u8);
+                } else {
+                    bytes.extend_from_slice(TOKENS[rng.gen_index(TOKENS.len())].as_bytes());
+                }
+            }
+        } else {
+            bytes = random_topology_spec(rng).into_bytes();
+            for _ in 0..1 + rng.gen_index(3) {
+                let at = rng.gen_index(bytes.len() + 1);
+                match rng.gen_index(3) {
+                    0 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    1 if at < bytes.len() => bytes[at] = rng.next_u64() as u8,
+                    _ => {
+                        let token = TOKENS[rng.gen_index(TOKENS.len())].as_bytes();
+                        bytes.splice(at..at, token.iter().copied());
+                    }
+                }
+            }
+        }
+        let spec = String::from_utf8_lossy(&bytes);
+        if let Ok(topo) = ce_scaling::topo::parse_topology(&spec) {
+            assert_sound_topology(&spec, &topo);
+        }
+    });
+}
